@@ -4,8 +4,9 @@
 //! supplies the lattice state, the per-bundle transfer function, the
 //! propagation [`Direction`] and (for forward, timing-relative analyses)
 //! an edge aging hook; the solver iterates to the least fixpoint with a
-//! plain worklist. Analyses whose lattices have unbounded ascending
-//! chains (value intervals) opt into widening after a visit budget.
+//! plain LIFO worklist (membership is a per-bundle flag). Analyses whose
+//! lattices have unbounded ascending chains (value intervals) opt into
+//! widening after a visit budget.
 
 use crate::cfg::Cfg;
 use crate::lattice::Lattice;
@@ -75,9 +76,12 @@ pub fn solve_forward<A: Analysis>(
     let mut visits = vec![0u32; bundles.len()];
     flow_in[entry] = Some(analysis.boundary());
     let mut worklist = vec![entry];
+    let mut in_worklist = vec![false; bundles.len()];
+    in_worklist[entry] = true;
     while let Some(bi) = worklist.pop() {
-        let input = flow_in[bi].clone().expect("worklist entries have state");
-        let output = analysis.transfer(bi, &bundles[bi], &input);
+        in_worklist[bi] = false;
+        let input = flow_in[bi].as_ref().expect("worklist entries have state");
+        let output = analysis.transfer(bi, &bundles[bi], input);
         for edge in cfg.succs(bi) {
             let mut candidate = output.clone();
             analysis.age(&mut candidate, edge.delta);
@@ -98,7 +102,8 @@ pub fn solve_forward<A: Analysis>(
                         }
                     }
                 }
-                if !worklist.contains(&edge.to) {
+                if !in_worklist[edge.to] {
+                    in_worklist[edge.to] = true;
                     worklist.push(edge.to);
                 }
             }
@@ -144,7 +149,9 @@ pub fn solve_backward<A: Analysis>(
     let mut flow_out: Vec<A::State> = (0..n).map(|_| analysis.bottom()).collect();
 
     let mut worklist: Vec<usize> = (0..n).collect();
+    let mut in_worklist = vec![true; n];
     while let Some(bi) = worklist.pop() {
+        in_worklist[bi] = false;
         let mut out = analysis.bottom();
         if is_exit[bi] {
             out.join(&boundary);
@@ -156,7 +163,8 @@ pub fn solve_backward<A: Analysis>(
         flow_out[bi] = out;
         if flow_in[bi].join(&input) {
             for edge in cfg.preds(bi) {
-                if !worklist.contains(&edge.to) {
+                if !in_worklist[edge.to] {
+                    in_worklist[edge.to] = true;
                     worklist.push(edge.to);
                 }
             }

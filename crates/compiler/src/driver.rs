@@ -116,6 +116,7 @@ pub struct CompiledProgram {
     stats: CompileStats,
     config: Config,
     trace: Option<PipelineTrace>,
+    program: Option<epic_asm::Program>,
 }
 
 impl CompiledProgram {
@@ -145,6 +146,22 @@ impl CompiledProgram {
     #[must_use]
     pub fn trace(&self) -> Option<&PipelineTrace> {
         self.trace.as_ref()
+    }
+
+    /// The assembled [`assembly`](CompiledProgram::assembly).
+    ///
+    /// Present when the compile ran with [`Options::verify`] on: the
+    /// verifier needs the assembled bundles, and keeping them spares
+    /// every consumer a second assembly of the same text.
+    #[must_use]
+    pub fn program(&self) -> Option<&epic_asm::Program> {
+        self.program.as_ref()
+    }
+
+    /// Moves the assembled program out (see
+    /// [`program`](CompiledProgram::program)); later calls return `None`.
+    pub fn take_program(&mut self) -> Option<epic_asm::Program> {
+        self.program.take()
     }
 }
 
@@ -325,13 +342,14 @@ impl Compiler {
         // claim load-bearing by running the static verifier over the
         // assembled bundles. Warnings (scoreboard-covered hazards) are
         // expected across block boundaries; errors are compiler bugs.
+        let mut program = None;
         if options.verify {
-            let program = epic_asm::assemble(&assembly, &self.config).map_err(|e| {
+            let assembled = epic_asm::assemble(&assembly, &self.config).map_err(|e| {
                 CompileError::Internal {
                     message: format!("emitted assembly does not assemble: {e}"),
                 }
             })?;
-            let report = epic_verify::check(&program, &self.config);
+            let report = epic_verify::check(&assembled, &self.config);
             if report.has_errors() {
                 let errors: String = report
                     .diagnostics()
@@ -341,6 +359,7 @@ impl Compiler {
                     .collect();
                 return Err(CompileError::Verification { report: errors });
             }
+            program = Some(assembled);
         }
 
         Ok(CompiledProgram {
@@ -348,6 +367,7 @@ impl Compiler {
             stats,
             config: self.config.clone(),
             trace,
+            program,
         })
     }
 

@@ -327,8 +327,13 @@ impl Toolchain {
         module: &Module,
         options: &Options,
     ) -> Result<PreparedProgram, ToolchainError> {
-        let compiled = self.compiler.compile_with(module, options)?;
-        let program = epic_asm::assemble(compiled.assembly(), &self.config)?;
+        let mut compiled = self.compiler.compile_with(module, options)?;
+        // A verified compile already assembled its output for the
+        // verifier; only an unverified one needs assembling here.
+        let program = match compiled.take_program() {
+            Some(program) => program,
+            None => epic_asm::assemble(compiled.assembly(), &self.config)?,
+        };
         // Translation validation rides on the same trace the bundle
         // verifier uses, so `--no-verify` disables both together.
         if let Some(trace) = compiled.trace() {

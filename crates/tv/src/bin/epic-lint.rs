@@ -557,12 +557,13 @@ fn lint_pipeline(args: &Args) -> Result<ExitCode, String> {
                 let compiled = epic_compiler::Compiler::new(config.clone())
                     .compile_with(&module, &options)
                     .map_err(|e| format!("{}: compile failed: {e}", workload.name))?;
-                let program = epic_asm::assemble(compiled.assembly(), &config)
-                    .map_err(|e| format!("{}: assembly rejected: {e}", workload.name))?;
-                let trace = compiled
-                    .trace()
-                    .ok_or_else(|| format!("{}: compiler produced no trace", workload.name))?;
-                let report = epic_tv::validate_trace(trace, &program, &config);
+                let (Some(trace), Some(program)) = (compiled.trace(), compiled.program()) else {
+                    return Err(format!(
+                        "{}: verified compile produced no trace or program",
+                        workload.name
+                    ));
+                };
+                let report = epic_tv::validate_trace(trace, program, &config);
                 let origin = format!("{}[alus={alus},iw={width}]", workload.name);
                 if args.format == Format::Json || !report.is_clean() {
                     emit(report.diagnostics(), &origin, None, args.format);

@@ -58,9 +58,21 @@ struct RegMerge {
     old: u64,
 }
 
-#[derive(Clone, Default)]
+/// A symbol bound to a previously unbound location. Unification only
+/// ever binds unbound locations, so undoing a failed match is removing
+/// the bindings it made.
+enum Binding {
+    PreGpr(u32),
+    PostGpr(u32),
+    PrePred(u32),
+    PostPred(u32),
+}
+
+#[derive(Default)]
 struct State {
     counter: u64,
+    /// Bindings made since the last [`State::begin_trial`].
+    journal: Vec<Binding>,
     /// Virtual GPR -> value symbol (pre program).
     pre_gpr: HashMap<u32, u64>,
     /// Physical GPR -> value symbol (post program).
@@ -87,52 +99,81 @@ impl State {
         self.counter
     }
 
+    /// Starts recording bindings; returns the symbol counter to restore
+    /// on [`State::rollback`].
+    fn begin_trial(&mut self) -> u64 {
+        self.journal.clear();
+        self.counter
+    }
+
+    /// Undoes every binding since [`State::begin_trial`], leaving the
+    /// state exactly as it was.
+    fn rollback(&mut self, counter: u64) {
+        for binding in self.journal.drain(..) {
+            match binding {
+                Binding::PreGpr(v) => self.pre_gpr.remove(&v),
+                Binding::PostGpr(p) => self.post_gpr.remove(&p),
+                Binding::PrePred(q) => self.pre_pred.remove(&q),
+                Binding::PostPred(q) => self.post_pred.remove(&q),
+            };
+        }
+        self.counter = counter;
+    }
+
+    fn bind(&mut self, binding: Binding, sym: u64) {
+        match binding {
+            Binding::PreGpr(v) => self.pre_gpr.insert(v, sym),
+            Binding::PostGpr(p) => self.post_gpr.insert(p, sym),
+            Binding::PrePred(q) => self.pre_pred.insert(q, sym),
+            Binding::PostPred(q) => self.post_pred.insert(q, sym),
+        };
+        self.journal.push(binding);
+    }
+
     /// Lenient unification: only fails when both sides already hold
     /// different symbols.
     fn unify_gpr(&mut self, v: u32, p: u32) -> bool {
-        match (
+        self.unify(
             self.pre_gpr.get(&v).copied(),
             self.post_gpr.get(&p).copied(),
-        ) {
-            (Some(a), Some(b)) => a == b,
-            (Some(a), None) => {
-                self.post_gpr.insert(p, a);
-                true
-            }
-            (None, Some(b)) => {
-                self.pre_gpr.insert(v, b);
-                true
-            }
-            (None, None) => {
-                let s = self.fresh();
-                self.pre_gpr.insert(v, s);
-                self.post_gpr.insert(p, s);
-                true
-            }
-        }
+            Binding::PreGpr(v),
+            Binding::PostGpr(p),
+        )
     }
 
     fn unify_pred(&mut self, a: u32, b: u32) -> bool {
         if a == 0 || b == 0 {
             return a == b;
         }
-        match (
+        self.unify(
             self.pre_pred.get(&a).copied(),
             self.post_pred.get(&b).copied(),
-        ) {
-            (Some(x), Some(y)) => x == y,
-            (Some(x), None) => {
-                self.post_pred.insert(b, x);
+            Binding::PrePred(a),
+            Binding::PostPred(b),
+        )
+    }
+
+    fn unify(
+        &mut self,
+        pre: Option<u64>,
+        post: Option<u64>,
+        at_pre: Binding,
+        at_post: Binding,
+    ) -> bool {
+        match (pre, post) {
+            (Some(a), Some(b)) => a == b,
+            (Some(a), None) => {
+                self.bind(at_post, a);
                 true
             }
-            (None, Some(y)) => {
-                self.pre_pred.insert(a, y);
+            (None, Some(b)) => {
+                self.bind(at_pre, b);
                 true
             }
             (None, None) => {
                 let s = self.fresh();
-                self.pre_pred.insert(a, s);
-                self.post_pred.insert(b, s);
+                self.bind(at_pre, s);
+                self.bind(at_post, s);
                 true
             }
         }
@@ -173,7 +214,7 @@ impl State {
             s
         } else {
             let s = self.fresh();
-            self.post_pred.insert(q, s);
+            self.bind(Binding::PostPred(q), s);
             s
         }
     }
@@ -306,35 +347,44 @@ fn bookkeeping_shaped(op: &MOp, abi: &Abi) -> bool {
 
 /// Symbolically unifies the reads of a matched pair, then applies its
 /// definitions. Returns a description of the first mismatch, if any;
-/// mutates `st` only on success.
+/// mutates `st` only on success (a failed match rolls back the
+/// bindings its reads made).
 fn consume_matched(st: &mut State, pre: &MOp, post: &MOp) -> Result<(), String> {
-    let mut trial = st.clone();
+    let counter = st.begin_trial();
+    if let Err(why) = unify_reads(st, pre, post) {
+        st.rollback(counter);
+        return Err(why);
+    }
+    apply_defs(st, pre, post);
+    Ok(())
+}
+
+/// Unifies every read of a matched pair, stopping at the first mismatch.
+fn unify_reads(st: &mut State, pre: &MOp, post: &MOp) -> Result<(), String> {
     for (a, b) in [(&pre.src1, &post.src1), (&pre.src2, &post.src2)] {
         match (a, b) {
             (MSrc::Gpr(v), MSrc::Gpr(p))
-                if !trial.unify_gpr(*v, *p) && !trial.merge_read_ok(*v, *p, post.guard) =>
+                if !st.unify_gpr(*v, *p) && !st.merge_read_ok(*v, *p, post.guard) =>
             {
                 return Err(format!("v{v} does not live in r{p} here"));
             }
-            (MSrc::Pred(x), MSrc::Pred(y)) if *x != 0 && !trial.unify_pred(*x, *y) => {
+            (MSrc::Pred(x), MSrc::Pred(y)) if *x != 0 && !st.unify_pred(*x, *y) => {
                 return Err(format!("q{x} does not live in p{y} here"));
             }
             _ => {}
         }
     }
     if let (Some(v), Some(p)) = (pre.store_value, post.store_value) {
-        if !trial.unify_gpr(v, p) {
+        if !st.unify_gpr(v, p) {
             return Err(format!("stored value v{v} does not live in r{p} here"));
         }
     }
-    if pre.guard != 0 && !trial.unify_pred(pre.guard, post.guard) {
+    if pre.guard != 0 && !st.unify_pred(pre.guard, post.guard) {
         return Err(format!(
             "guard q{} does not live in p{} here",
             pre.guard, post.guard
         ));
     }
-    *st = trial;
-    apply_defs(st, pre, post);
     Ok(())
 }
 

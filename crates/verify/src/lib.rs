@@ -66,6 +66,7 @@
 //! predecessors) and set union for the reachability components
 //! (prepared BTRs, written predicates).
 
+use epic_bound::Cfg;
 use epic_config::Config;
 use epic_isa::{Instruction, IsaError, Opcode, Unit};
 use epic_mdes::MachineDescription;
@@ -213,20 +214,24 @@ impl Flow {
         out
     }
 
-    /// Joins `other` into `self`; returns whether `self` changed.
-    fn join(&mut self, other: &Flow) -> bool {
+    /// Joins `other` aged by `delta` cycles (`other.aged(delta)`, without
+    /// building it) into `self`; returns whether `self` changed.
+    fn join_aged(&mut self, other: &Flow, delta: u32) -> bool {
         let mut changed = false;
         for (dst, src) in self.gpr_wait.iter_mut().zip(&other.gpr_wait) {
-            if *src > *dst {
-                *dst = *src;
+            let src = src.saturating_sub(delta);
+            if src > *dst {
+                *dst = src;
                 changed = true;
             }
         }
-        // Both sides keep `alu_busy` sorted descending, so element-wise
-        // max bounds the k-th busiest instance of either predecessor.
+        // Both sides keep `alu_busy` sorted descending (aging preserves
+        // the order), so element-wise max bounds the k-th busiest
+        // instance of either predecessor.
         for (dst, src) in self.alu_busy.iter_mut().zip(&other.alu_busy) {
-            if *src > *dst {
-                *dst = *src;
+            let src = src.saturating_sub(delta);
+            if src > *dst {
+                *dst = src;
                 changed = true;
             }
         }
@@ -245,10 +250,6 @@ impl Flow {
         changed
     }
 }
-
-/// One outgoing control-flow edge: target bundle and the minimum number
-/// of cycles between the two bundles' execute stages.
-type Edge = (usize, u32);
 
 /// Static verifier for one machine configuration.
 pub struct Verifier {
@@ -288,7 +289,9 @@ impl Verifier {
             .map(|(bi, bundle)| self.check_bundle_structure(bi, bundle))
             .collect();
 
-        let flow_in = self.solve_dataflow(bundles, entry);
+        // One control-flow graph serves the timing fixpoint and VER013.
+        let cfg = Cfg::build(&self.config, bundles);
+        let flow_in = self.solve_dataflow(&cfg, bundles, entry);
 
         for (bi, bundle) in bundles.iter().enumerate() {
             diags.extend(structural[bi].iter().cloned());
@@ -297,7 +300,7 @@ impl Verifier {
             }
         }
 
-        self.check_gpr_definedness(bundles, entry, &mut diags);
+        self.check_gpr_definedness(&cfg, bundles, entry, &mut diags);
 
         Report { diagnostics: diags }
     }
@@ -312,8 +315,14 @@ impl Verifier {
     /// never execute and are not reported. Registers reset to zero, so
     /// none of this interlocks — but code meaning to read zero should
     /// produce it explicitly.
+    ///
+    /// The value analysis can only *suppress* a finding, so it runs
+    /// lazily: candidates come from definedness alone, and only when
+    /// there is at least one does the analysis decide which guards are
+    /// provably false. Honest compiles produce no candidates.
     fn check_gpr_definedness(
         &self,
+        cfg: &Cfg,
         bundles: &[Vec<Instruction>],
         entry: u32,
         diags: &mut Vec<Diagnostic>,
@@ -324,28 +333,24 @@ impl Verifier {
         if entry >= bundles.len() {
             return;
         }
-        let cfg = epic_bound::Cfg::build(&self.config, bundles);
-        let defs = epic_bound::Definedness::new(&self.config, bundles).solve(&cfg, bundles, entry);
-        let values = epic_bound::ValueAnalysis::new(&self.config).solve(&cfg, bundles, entry);
+        let defs = epic_bound::Definedness::new(&self.config, bundles).solve(cfg, bundles, entry);
 
+        // Candidate findings in bundle/slot/read order, each with the
+        // bundle and guard that decide whether the read can execute.
+        let mut candidates: Vec<(usize, epic_isa::PredReg, Diagnostic)> = Vec::new();
         for (bi, bundle) in bundles.iter().enumerate() {
             let Some(state) = &defs[bi] else {
                 continue; // unreachable bundle
             };
             for (slot, instr) in bundle.iter().enumerate() {
-                // A provably squashed read never observes anything.
-                let guard_known_false = values[bi]
-                    .as_ref()
-                    .is_some_and(|v| v.guard(instr.pred) == PredVal::False);
-                if guard_known_false {
-                    continue;
-                }
                 for gpr in instr.gpr_reads() {
                     let Some(&may) = state.may.get(gpr.0 as usize) else {
                         continue; // out-of-range index, already VER007
                     };
                     if !may {
-                        diags.push(
+                        candidates.push((
+                            bi,
+                            instr.pred,
                             Diagnostic::warning(
                                 "VER013",
                                 format!(
@@ -354,7 +359,7 @@ impl Verifier {
                                 ),
                             )
                             .with_bundle(bi, Some(slot)),
-                        );
+                        ));
                         continue;
                     }
                     // Written somewhere — but is it written whenever this
@@ -363,7 +368,9 @@ impl Verifier {
                     // under the defining guard is safe by construction.
                     if let MustDef::Under(p) = state.must[gpr.0 as usize] {
                         if instr.pred != p {
-                            diags.push(
+                            candidates.push((
+                                bi,
+                                instr.pred,
                                 Diagnostic::warning(
                                     "VER013",
                                     format!(
@@ -373,12 +380,28 @@ impl Verifier {
                                     ),
                                 )
                                 .with_bundle(bi, Some(slot)),
-                            );
+                            ));
                         }
                     }
                 }
             }
         }
+        if candidates.is_empty() {
+            return;
+        }
+
+        // A provably squashed read never observes anything.
+        let values = epic_bound::ValueAnalysis::new(&self.config).solve(cfg, bundles, entry);
+        diags.extend(
+            candidates
+                .into_iter()
+                .filter(|(bi, pred, _)| {
+                    !values[*bi]
+                        .as_ref()
+                        .is_some_and(|v| v.guard(*pred) == PredVal::False)
+                })
+                .map(|(_, _, diag)| diag),
+        );
     }
 
     /// The static control-flow over-approximation the dataflow fixpoint
@@ -389,7 +412,7 @@ impl Verifier {
     /// edges the hardware never takes may be present too.
     #[must_use]
     pub fn cfg(&self, bundles: &[Vec<Instruction>]) -> Vec<Vec<(usize, u32)>> {
-        self.build_cfg(bundles)
+        Cfg::build(&self.config, bundles).as_pairs()
     }
 
     // --- per-bundle structural checks (no control flow needed) ---------
@@ -524,122 +547,40 @@ impl Verifier {
         diags
     }
 
-    // --- control-flow graph --------------------------------------------
-
-    /// Builds the over-approximate successor relation. Branch targets
-    /// come from `PBR` literals program-wide; a branch through a BTR
-    /// some `PBR` loads from a register (a return address) may land on
-    /// any bundle following a `BRL`.
-    fn build_cfg(&self, bundles: &[Vec<Instruction>]) -> Vec<Vec<Edge>> {
-        let len = bundles.len();
-        let num_btrs = self.config.num_btrs();
-        let branch_delta = self.config.pipeline_stages() as u32;
-
-        let mut literal_targets: Vec<Vec<usize>> = vec![Vec::new(); num_btrs];
-        let mut unknown_target: Vec<bool> = vec![false; num_btrs];
-        let mut return_points: Vec<usize> = Vec::new();
-        for (bi, bundle) in bundles.iter().enumerate() {
-            for instr in bundle {
-                if instr.opcode == Opcode::Pbr {
-                    let Some(btr) = instr.btr_write() else {
-                        continue;
-                    };
-                    let Some(slot) = literal_targets.get_mut(btr.0 as usize) else {
-                        continue;
-                    };
-                    match instr.src1 {
-                        epic_isa::Operand::Lit(v) if (0..len as i64).contains(&v) => {
-                            slot.push(v as usize);
-                        }
-                        _ => unknown_target[btr.0 as usize] = true,
-                    }
-                }
-                if instr.opcode == Opcode::Brl && bi + 1 < len {
-                    return_points.push(bi + 1);
-                }
-            }
-        }
-
-        let mut succs: Vec<Vec<Edge>> = vec![Vec::new(); len];
-        for (bi, bundle) in bundles.iter().enumerate() {
-            let mut fall_through = bi + 1 < len;
-            let edges = &mut succs[bi];
-            for instr in bundle {
-                let always = instr.pred.0 == 0;
-                let branch_edges = |edges: &mut Vec<Edge>| {
-                    if let Some(btr) = instr.btr_read() {
-                        if let Some(targets) = literal_targets.get(btr.0 as usize) {
-                            for &t in targets {
-                                edges.push((t, branch_delta));
-                            }
-                        }
-                        if unknown_target.get(btr.0 as usize).copied().unwrap_or(false) {
-                            for &rp in &return_points {
-                                edges.push((rp, branch_delta));
-                            }
-                        }
-                    }
-                };
-                match instr.opcode {
-                    Opcode::Br | Opcode::Brl | Opcode::Brct => {
-                        // `BRCT`'s predicate is the tested condition, and
-                        // a false guard squashes `BR`/`BRL`: either way
-                        // `p0` means the branch is always taken.
-                        branch_edges(edges);
-                        if always {
-                            fall_through = false;
-                        }
-                    }
-                    Opcode::Brcf
-                        // Branches when the guard is *false*; `p0` is
-                        // hard-wired true, so a `p0` BRCF never leaves
-                        // the fall-through path.
-                        if !always => {
-                            branch_edges(edges);
-                        }
-                    Opcode::Halt
-                        if always => {
-                            fall_through = false;
-                        }
-                    _ => {}
-                }
-            }
-            if fall_through {
-                edges.push((bi + 1, 1));
-            }
-            edges.sort_unstable();
-            edges.dedup();
-        }
-        succs
-    }
-
     // --- dataflow fixpoint ---------------------------------------------
 
     /// Computes the join-over-all-paths entry state of every reachable
     /// bundle (`None` = unreachable from the entry).
-    fn solve_dataflow(&self, bundles: &[Vec<Instruction>], entry: u32) -> Vec<Option<Flow>> {
+    fn solve_dataflow(
+        &self,
+        cfg: &Cfg,
+        bundles: &[Vec<Instruction>],
+        entry: u32,
+    ) -> Vec<Option<Flow>> {
         let mut flow_in: Vec<Option<Flow>> = vec![None; bundles.len()];
         let entry = entry as usize;
         if entry >= bundles.len() {
             return flow_in;
         }
-        let cfg = self.build_cfg(bundles);
         flow_in[entry] = Some(Flow::entry(&self.config));
         let mut worklist = vec![entry];
+        let mut in_worklist = vec![false; bundles.len()];
+        in_worklist[entry] = true;
         while let Some(bi) = worklist.pop() {
-            let input = flow_in[bi].clone().expect("worklist entries have state");
-            let output = self.transfer(bi, &bundles[bi], &input, None);
-            for &(succ, delta) in &cfg[bi] {
-                let candidate = output.aged(delta);
-                let changed = match &mut flow_in[succ] {
-                    Some(existing) => existing.join(&candidate),
+            in_worklist[bi] = false;
+            let input = flow_in[bi].as_ref().expect("worklist entries have state");
+            let output = self.transfer(bi, &bundles[bi], input, None);
+            for edge in cfg.succs(bi) {
+                let changed = match &mut flow_in[edge.to] {
+                    Some(existing) => existing.join_aged(&output, edge.delta),
                     slot @ None => {
-                        *slot = Some(candidate);
+                        *slot = Some(output.aged(edge.delta));
                         true
                     }
                 };
-                if changed && !worklist.contains(&succ) {
-                    worklist.push(succ);
+                if changed && !in_worklist[edge.to] {
+                    in_worklist[edge.to] = true;
+                    worklist.push(edge.to);
                 }
             }
         }
@@ -890,6 +831,37 @@ mod tests {
         // the read never executes — undefined r1 is unobservable there.
         let report = verify("ADD r2, r1, #1 (p1)\n;;\nHALT\n;;\n");
         assert!(!report.has_code("VER013"), "{}", report.render("t", None));
+    }
+
+    #[test]
+    fn lazy_value_analysis_drops_only_squashed_reads_and_keeps_order() {
+        // Four VER013 candidates: bundle 0 slot 0 (reported), bundle 1
+        // slot 0 (guard p1 is never written, so provably false:
+        // suppressed), bundle 1 slot 1 (reported) and bundle 2 (reported).
+        // The survivors keep their report positions, after the VER006
+        // finding the p1 read raises in bundle order.
+        let config = Config::builder().issue_width(2).build().unwrap();
+        let source = "ADD r2, r5, #1\n;;\nADD r3, r1, #1 (p1)\nADD r6, r4, #1\n;;\n\
+                      ADD r7, r8, #1\n;;\nHALT\n;;\n";
+        let program = assemble(source, &config).expect("assembles");
+        let report = check(&program, &config);
+        let found: Vec<(&str, Option<usize>, Option<usize>)> = report
+            .diagnostics()
+            .iter()
+            .map(|d| (d.code, d.bundle, d.slot))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                ("VER006", Some(1), Some(0)),
+                ("VER013", Some(0), Some(0)),
+                ("VER013", Some(1), Some(1)),
+                ("VER013", Some(2), Some(0)),
+            ],
+            "{}",
+            report.render("t", None)
+        );
+        assert!(report.diagnostics()[2].message.starts_with("r4 is read"));
     }
 
     #[test]

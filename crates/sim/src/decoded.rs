@@ -87,11 +87,12 @@ impl DecodedProgram {
     pub fn decode(config: &Config, bundles: &[Vec<Instruction>]) -> Result<Self, SimError> {
         let mdes = MachineDescription::new(config);
         let forwarding = config.forwarding();
-        let decoded = bundles
-            .iter()
-            .enumerate()
-            .map(|(pc, bundle)| decode_bundle(&mdes, config, pc as u32, bundle, forwarding))
-            .collect::<Result<Vec<_>, _>>()?;
+        // Sized up front: collecting through `Result` would grow the
+        // table by doubling, a transient twice the final size.
+        let mut decoded = Vec::with_capacity(bundles.len());
+        for (pc, bundle) in bundles.iter().enumerate() {
+            decoded.push(decode_bundle(&mdes, config, pc as u32, bundle, forwarding)?);
+        }
         Ok(DecodedProgram {
             bundles: decoded.into_boxed_slice(),
             forwarding,

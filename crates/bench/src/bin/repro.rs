@@ -31,13 +31,13 @@
 //! reassembles results by grid index, so the reported numbers are
 //! bit-identical at any thread count.
 //!
-//! `--engine <reference|decoded|block|threaded>` cross-checks the
+//! `--engine <reference|decoded|threaded>` cross-checks the
 //! `bench` cycle grid on the named simulation engine: every grid point
 //! re-runs on it and the full statistics must match the measured
 //! (decoded) run bit for bit. CI drives the lockstep gate through this
 //! flag. For `array` the same flag instead selects the engine
 //! instantiated in every mesh core; the report is byte-identical for
-//! every engine (the lockstep array steps per cycle, where all four
+//! every engine (the lockstep array steps per cycle, where all three
 //! agree bit for bit).
 
 use epic_bench::sweep::{sweep_grid_observed, table1_parallel};
@@ -48,9 +48,7 @@ use epic_core::experiments::{
     run_epic_workload_with_engine, Table1,
 };
 use epic_core::explore::{pareto, render, sweep, sweep_alus};
-use epic_core::sim::{
-    BlockSimulator, Engine, Memory, ReferenceSimulator, Simulator, ThreadedSimulator,
-};
+use epic_core::sim::{Engine, Memory, ReferenceSimulator, Simulator, ThreadedSimulator};
 use epic_core::workloads::{self, Scale};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -613,7 +611,7 @@ fn cmd_isx(scale: Scale, out: Option<std::path::PathBuf>, check: bool) -> Result
 /// numbers are machine-local and stay out of the JSON).
 ///
 /// `--engine <name>` selects the engine instantiated in every core; the
-/// report (and JSON) is byte-identical for all four, since the lockstep
+/// report (and JSON) is byte-identical for all three, since the lockstep
 /// array steps per cycle and the engines agree bit for bit there.
 fn cmd_array(
     scale: Scale,
@@ -779,9 +777,9 @@ fn cmd_array(
 
 /// Engine throughput race: every workload × the four corners of the
 /// (ALUs, issue-width) grid, each binary prepared once (compile,
-/// assemble, profile training) and then run to completion on all four
+/// assemble, profile training) and then run to completion on all three
 /// engines from identical cloned machines. Timing is interleaved
-/// rep-major — reference, decoded, block, threaded, then again — so
+/// rep-major — reference, decoded, threaded, then again — so
 /// clock drift hits every engine equally, and the best of `REPS` timed
 /// runs counts. The warm-up pass records the architectural outputs,
 /// which must agree bit-for-bit across engines: a disagreement is an
@@ -789,13 +787,12 @@ fn cmd_array(
 /// summary row over all corner points.
 ///
 /// Writes `--out <file>` (default `BENCH_throughput.json`), schema
-/// `epic-bench-throughput/v2` (v2 added the threaded engine, the
-/// per-point `chained_execs` count and the per-engine
-/// `geomean_cycles_per_sec` object). With `--check` the file is not
-/// rewritten; instead the deterministic fields (`sim_cycles`,
-/// `fast_block_execs`, `chained_execs` and the point set itself) are
-/// regenerated and verified against the committed file — wall times
-/// and the geomeans derived from them are machine-local and exempt.
+/// `epic-bench-throughput/v3`: one row per (workload, corner, engine);
+/// the geomeans are machine-local and only printed. With `--check` the
+/// file is not rewritten; instead the deterministic fields
+/// (`sim_cycles`, `fast_block_execs`, `chained_execs` and the point set
+/// itself) are regenerated and verified against the committed file —
+/// wall times are machine-local and exempt.
 fn cmd_bench_throughput(
     scale: Scale,
     out: Option<std::path::PathBuf>,
@@ -810,16 +807,14 @@ fn cmd_bench_throughput(
          best of {REPS} interleaved runs"
     );
     println!(
-        "{:<10} {:>5} {:>3} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>10} {:>8}",
+        "{:<10} {:>5} {:>3} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10} {:>8}",
         "workload",
         "alus",
         "iw",
         "cycles",
         "ref Mc/s",
         "dec Mc/s",
-        "blk Mc/s",
         "thr Mc/s",
-        "blk/dec",
         "thr/dec",
         "fast blks",
         "chained"
@@ -827,7 +822,7 @@ fn cmd_bench_throughput(
     let mut entries = String::new();
     let mut prefixes: Vec<String> = Vec::new();
     // Sum of ln(cycles/sec) per engine, for the geomean summary row.
-    let mut ln_cps = [0f64; 4];
+    let mut ln_cps = [0f64; 3];
     let mut points = 0usize;
     for workload in &workloads {
         for (alus, width) in CORNERS {
@@ -849,12 +844,6 @@ fn cmd_bench_throughput(
             };
             let decoded = {
                 let mut sim = Simulator::try_new(&config, bundles.clone(), entry)
-                    .map_err(|e| e.to_string())?;
-                sim.set_memory(Memory::from_image(image.clone()));
-                sim
-            };
-            let block = {
-                let mut sim = BlockSimulator::try_new(&config, bundles.clone(), entry)
                     .map_err(|e| e.to_string())?;
                 sim.set_memory(Memory::from_image(image.clone()));
                 sim
@@ -883,17 +872,6 @@ fn cmd_bench_throughput(
                         sim.run().expect("verified workloads never fault");
                         (start.elapsed().as_nanos(), sim.stats().cycles, 0, 0)
                     }
-                    Engine::Block => {
-                        let mut sim = block.clone();
-                        let start = Instant::now();
-                        sim.run().expect("verified workloads never fault");
-                        (
-                            start.elapsed().as_nanos(),
-                            sim.stats().cycles,
-                            sim.fast_block_execs(),
-                            0,
-                        )
-                    }
                     Engine::Threaded => {
                         let mut sim = threaded.clone();
                         let start = Instant::now();
@@ -908,10 +886,10 @@ fn cmd_bench_throughput(
                 }
             };
 
-            let mut cycles = [0u64; 4];
-            let mut fast = [0u64; 4];
-            let mut chained = [0u64; 4];
-            let mut best = [u128::MAX; 4];
+            let mut cycles = [0u64; 3];
+            let mut fast = [0u64; 3];
+            let mut chained = [0u64; 3];
+            let mut best = [u128::MAX; 3];
             for rep in 0..=REPS {
                 // Rep 0 warms caches and records the deterministic outputs.
                 for (ei, engine) in Engine::all().into_iter().enumerate() {
@@ -935,14 +913,13 @@ fn cmd_bench_throughput(
             if cycles.iter().any(|&c| c != cycles[0]) {
                 return Err(format!(
                     "{} at {alus} ALU / {width}-wide: engines disagree on cycles \
-                     (reference {}, decoded {}, block {}, threaded {})",
-                    workload.name, cycles[0], cycles[1], cycles[2], cycles[3]
+                     (reference {}, decoded {}, threaded {})",
+                    workload.name, cycles[0], cycles[1], cycles[2]
                 ));
             }
             let mcps = |ei: usize| cycles[ei] as f64 * 1e3 / best[ei] as f64;
             println!(
-                "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>7.2}x \
-                 {:>10} {:>8}",
+                "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10} {:>8}",
                 workload.name,
                 alus,
                 width,
@@ -950,11 +927,9 @@ fn cmd_bench_throughput(
                 mcps(0),
                 mcps(1),
                 mcps(2),
-                mcps(3),
                 best[1] as f64 / best[2] as f64,
-                best[1] as f64 / best[3] as f64,
-                fast[3],
-                chained[3]
+                fast[2],
+                chained[2]
             );
             points += 1;
             for (ei, engine) in Engine::all().into_iter().enumerate() {
@@ -979,7 +954,7 @@ fn cmd_bench_throughput(
     }
     let geomean = |ei: usize| (ln_cps[ei] / points as f64).exp();
     println!(
-        "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>7.2}x",
+        "{:<10} {:>5} {:>3} {:>10} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x",
         "geomean",
         "-",
         "-",
@@ -987,9 +962,7 @@ fn cmd_bench_throughput(
         geomean(0) / 1e6,
         geomean(1) / 1e6,
         geomean(2) / 1e6,
-        geomean(3) / 1e6,
-        geomean(2) / geomean(1),
-        geomean(3) / geomean(1)
+        geomean(2) / geomean(1)
     );
     if check {
         let committed = std::fs::read_to_string(&out)
@@ -1018,16 +991,9 @@ fn cmd_bench_throughput(
         );
         return Ok(());
     }
-    let geomeans = Engine::all()
-        .into_iter()
-        .enumerate()
-        .map(|(ei, engine)| format!("\"{engine}\": {:.0}", geomean(ei)))
-        .collect::<Vec<_>>()
-        .join(", ");
     let json = format!(
-        "{{\n  \"schema\": \"epic-bench-throughput/v2\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"reps\": {REPS},\n  \"geomean_cycles_per_sec\": {{{geomeans}}},\n  \
-         \"points\": [\n{entries}\n  ]\n}}\n"
+        "{{\n  \"schema\": \"epic-bench-throughput/v3\",\n  \"scale\": \"{scale:?}\",\n  \
+         \"reps\": {REPS},\n  \"points\": [\n{entries}\n  ]\n}}\n"
     );
     std::fs::write(&out, json).map_err(|e| format!("{}: {e}", out.display()))?;
     println!("wrote {}", out.display());

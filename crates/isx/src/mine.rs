@@ -132,8 +132,8 @@ struct BlockDfg {
     succs: Vec<u32>,
 }
 
-/// Partitions `bundles` into basic blocks exactly as the block-compiled
-/// engine does: leaders are the entry, every over-approximate branch
+/// Partitions `bundles` into basic blocks exactly as the simulator's
+/// block folding does: leaders are the entry, every over-approximate branch
 /// target and every bundle following a terminator.
 fn block_ranges(cfg: &Cfg, bundles: &[Vec<Instruction>], entry: u32) -> Vec<(usize, usize)> {
     let len = bundles.len();

@@ -65,7 +65,6 @@ mod stats;
 mod threaded;
 mod trace;
 
-pub use block::BlockSimulator;
 pub use engine::Engine;
 pub use error::SimError;
 pub use machine::Simulator;

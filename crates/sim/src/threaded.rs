@@ -1,13 +1,12 @@
 //! The threaded-code execution engine.
 //!
-//! The block-compiled engine (`block.rs`) folds each basic block's
-//! issue negotiation into load-time constants, but every block exit
-//! still returns to the generic dispatch loop: the terminator executes
-//! through [`Simulator::step_front`], the redirect walks the pre-issue
-//! stall ladder one cycle at a time, and the next block pays a fresh
-//! table lookup and entry check. On short blocks that dispatch overhead
-//! eats the folded savings — the throughput benchmark showed grid
-//! points where the block engine *loses* to the decoded engine.
+//! Block folding (`block.rs`) turns each basic block's issue
+//! negotiation into load-time constants. Executed from the generic
+//! dispatch loop alone, every block exit would still return to it: the
+//! terminator executing through [`Simulator::step_front`], the redirect
+//! walking the pre-issue stall ladder one cycle at a time, and the next
+//! block paying a fresh table lookup and entry check. On short blocks
+//! that dispatch overhead eats the folded savings.
 //!
 //! [`ThreadedSimulator`] removes the dispatcher from the hot path. At
 //! load time it translates the decoded program plus the shared
@@ -26,8 +25,8 @@
 //!   and their static statistics (bundles, nops, instructions,
 //!   unit-busy cycles) fold into one delta applied per run. Pure runs
 //!   cannot fault, so exactness is free; impure bundles (memory
-//!   traffic) stay on the shared write-buffered path with the block
-//!   engine's exact fault unwinding.
+//!   traffic) stay on the shared write-buffered path with exact fault
+//!   unwinding.
 //! * **Block chaining** — after a stream's folded body executes, the
 //!   terminator bundle runs *inside the chain loop* (through the shared
 //!   [`Simulator::execute_bundle`] write-back path), its redirect and
@@ -55,7 +54,7 @@
 //! recording) the engine stands down entirely and runs the decoded
 //! per-cycle loop, producing identical event streams.
 
-use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBlock, FoldGate};
+use crate::block::{compile_blocks, entry_ok, fault_unwind, fold_exit, CompiledBlock};
 use crate::decoded::{DecodedBundle, DecodedProgram};
 use crate::error::SimError;
 use crate::exec::{eval_alu_basic, eval_cmp};
@@ -175,10 +174,10 @@ impl ThreadedSimulator {
     ) -> Result<Self, SimError> {
         let cfg = Cfg::build(config, &bundles);
         let sim = Simulator::try_new(config, bundles, entry)?;
-        // Unlike the block engine, translate *every* foldable block:
-        // chaining and trace linking amortise the admission cost, and
-        // the micro-op runs make even minimal windows profitable.
-        let blocks = compile_blocks(&sim.program, &cfg, entry, FoldGate::All);
+        // Translate *every* foldable block: chaining and trace linking
+        // amortise the admission cost, and the micro-op runs make even
+        // minimal windows profitable.
+        let blocks = compile_blocks(&sim.program, &cfg, entry);
         let mut steps = vec![Step::Interp; sim.program.bundles.len()];
         let mut streams = Vec::new();
         for (addr, block) in blocks.into_iter().enumerate() {
@@ -464,7 +463,7 @@ impl ThreadedSimulator {
                 .sim
                 .stage2
                 .take()
-                .expect("run_block staged the terminator");
+                .expect("run_stream staged the terminator");
             let redirect = self.sim.execute_bundle(program, term, &mut NopSink)?;
             if self.sim.halted {
                 // Mirror `step_front`'s drain: the halt cycle retires.
@@ -712,8 +711,7 @@ fn exec_direct(sim: &mut Simulator, program: &DecodedProgram, op: &DecodedOp) {
 /// Executes one translated stream body: pure runs as direct-write
 /// micro-ops with one folded statistics delta each, impure bundles
 /// through the shared write-buffered path, then the folded exit state.
-/// Faults unwind to the exact per-cycle machine state, as the block
-/// engine's body does.
+/// Faults unwind to the exact per-cycle machine state.
 fn run_stream(
     sim: &mut Simulator,
     program: &DecodedProgram,
@@ -822,6 +820,33 @@ mod tests {
             threaded.chained_execs() > 0,
             "the loop must have chained before the fault"
         );
+        let want = decoded;
+        let got = threaded.into_inner();
+        assert_eq!(got.stats, want.stats, "interrupted stats must match");
+        assert_eq!(got.cycle, want.cycle);
+        assert_eq!(got.pc, want.pc);
+        assert_eq!(got.stage2, want.stage2);
+        assert_eq!(got.gprs, want.gprs);
+        assert_eq!(got.gpr_ready, want.gpr_ready);
+        assert_eq!(got.pred_ready, want.pred_ready);
+        assert_eq!(got.mem_debt, want.mem_debt);
+        assert_eq!(got.port_wait, want.port_wait);
+        assert_eq!(got.memory.bytes(), want.memory.bytes());
+    }
+
+    #[test]
+    fn fault_mid_block_reconstructs_the_per_cycle_state() {
+        // The store faults (memory is 16 bytes, address 4096) in the
+        // middle of the entry block's body, before any chaining.
+        let src = "    MOVE r1, #1\n    MOVIL r9, #4096\n;;\n    ADD r2, r1, #1\n;;\n\
+                   SW r2, r9, #0\n;;\n    ADD r3, r2, #1\n;;\n    HALT\n;;\n";
+        let config = Config::default();
+        let (mut decoded, mut threaded) = build_pair(src, &config, 16);
+        assert_eq!(threaded.translated_blocks(), 1, "the entry block folds");
+        let want_err = decoded.run().expect_err("store faults");
+        let got_err = threaded.run().expect_err("store faults");
+        assert_eq!(format!("{got_err}"), format!("{want_err}"));
+        assert_eq!(threaded.chained_execs(), 0, "nothing chained before it");
         let want = decoded;
         let got = threaded.into_inner();
         assert_eq!(got.stats, want.stats, "interrupted stats must match");

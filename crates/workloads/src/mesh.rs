@@ -656,7 +656,7 @@ mod tests {
         let dist = golden_bfs(&adj, n);
         assert_eq!(dist[0], 0);
         // Some node must be directly reachable in this dense graph.
-        assert!(dist.iter().any(|&d| d == 1));
+        assert!(dist.contains(&1));
         // Any finite distance d > 0 needs a predecessor at d - 1.
         for (t, &d) in dist.iter().enumerate() {
             if d == 0 || d == inputs::GRAPH_INF {
